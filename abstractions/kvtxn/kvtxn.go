@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Strategy selects the commit protocol for a store.
@@ -149,14 +150,19 @@ type Store struct {
 	tm     *txnMgr
 
 	nextTxn atomic.Uint64
+	ctr     liveCounters
+}
 
-	begins     atomic.Int64
-	commits    atomic.Int64
-	aborts     atomic.Int64
-	killAborts atomic.Int64
-	gets       atomic.Int64
-	puts       atomic.Int64
-	dels       atomic.Int64
+// liveCounters is the store's live counter block; obs.Load copies each
+// field into the same-named Counters field.
+type liveCounters struct {
+	Begins     atomic.Int64
+	Commits    atomic.Int64
+	Aborts     atomic.Int64
+	KillAborts atomic.Int64
+	Gets       atomic.Int64
+	Puts       atomic.Int64
+	Deletes    atomic.Int64
 }
 
 // New creates a store with default options, spawning its manager threads
@@ -200,17 +206,7 @@ func (s *Store) ShardOf(key string) int {
 }
 
 // Counters snapshots the operation counters.
-func (s *Store) Counters() Counters {
-	return Counters{
-		Begins:     s.begins.Load(),
-		Commits:    s.commits.Load(),
-		Aborts:     s.aborts.Load(),
-		KillAborts: s.killAborts.Load(),
-		Gets:       s.gets.Load(),
-		Puts:       s.puts.Load(),
-		Deletes:    s.dels.Load(),
-	}
-}
+func (s *Store) Counters() Counters { return obs.Load[Counters](&s.ctr) }
 
 // Stats implements Client on the store itself: a plain atomic snapshot
 // (the thread argument exists for the cross-runtime Gateway's sake).
@@ -219,7 +215,7 @@ func (s *Store) Stats(_ *core.Thread) (Counters, error) { return s.Counters(), n
 // Get reads key's committed value (autocommit snapshot read: it never
 // blocks on locks, exactly like a transaction-free GET should).
 func (s *Store) Get(th *core.Thread, key string) (string, bool, error) {
-	s.gets.Add(1)
+	s.ctr.Gets.Add(1)
 	sh := s.shards[s.ShardOf(key)]
 	v, err := s.shardRequest(th, sh, &shardReq{kind: reqGet, key: key}, 0)
 	if err != nil {
@@ -233,14 +229,14 @@ func (s *Store) Get(th *core.Thread, key string) (string, bool, error) {
 // strategy it respects (waits for) the key's lock; a wait that outlives
 // LockWait returns ErrConflict.
 func (s *Store) Put(th *core.Thread, key, val string) error {
-	s.puts.Add(1)
+	s.ctr.Puts.Add(1)
 	return s.autocommitWrite(th, key, val, false)
 }
 
 // Delete removes key as a single-key transaction, with Put's locking
 // behavior.
 func (s *Store) Delete(th *core.Thread, key string) error {
-	s.dels.Add(1)
+	s.ctr.Deletes.Add(1)
 	return s.autocommitWrite(th, key, "", true)
 }
 

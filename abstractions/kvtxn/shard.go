@@ -14,13 +14,13 @@ const (
 	// store-owned finisher that never abandons its reply, or — for reqGet
 	// and reqOCCCommit — a client whose desertion after the request
 	// rendezvous is semantically "after the operation happened").
-	reqGet       reqKind = iota // committed snapshot read
-	reqOCCCommit                // single-shard validate + install, atomically
-	reqInstall                  // finisher: apply writes, release txn's locks here
-	reqRelease                  // aborter/finisher: release txn's locks + prepares
-	reqOCCPrepare               // finisher: validate reads, prepare-lock writes
-	reqOCCFinish                // finisher: install (or discard) prepared writes
-	reqAudit                    // integrity self-report
+	reqGet        reqKind = iota // committed snapshot read
+	reqOCCCommit                 // single-shard validate + install, atomically
+	reqInstall                   // finisher: apply writes, release txn's locks here
+	reqRelease                   // aborter/finisher: release txn's locks + prepares
+	reqOCCPrepare                // finisher: validate reads, prepare-lock writes
+	reqOCCFinish                 // finisher: install (or discard) prepared writes
+	reqAudit                     // integrity self-report
 
 	// Parked in the wait list until serviceable; the grant mutates only in
 	// the reply arm's action, so an abandoned waiter (nack) leaves no
@@ -191,7 +191,7 @@ func (sh *shardMgr) serve(mgr *core.Thread) {
 			}
 			if ok {
 				apply(r.writes)
-				sh.store.commits.Add(1)
+				sh.store.ctr.Commits.Add(1)
 				if fn := sh.store.opts.OnCommit; fn != nil {
 					fn(r.txn)
 				}

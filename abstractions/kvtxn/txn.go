@@ -43,7 +43,7 @@ func (s *Store) Begin(th *core.Thread) (*Txn, error) {
 			return nil, err
 		}
 	}
-	s.begins.Add(1)
+	s.ctr.Begins.Add(1)
 	return t, nil
 }
 
@@ -69,7 +69,7 @@ func (t *Txn) Get(th *core.Thread, key string) (string, bool, error) {
 	if r, ok := t.readSet[key]; ok {
 		return r.val, r.found, nil
 	}
-	t.s.gets.Add(1)
+	t.s.ctr.Gets.Add(1)
 	shard := t.s.ShardOf(key)
 	var v core.Value
 	var err error
@@ -168,7 +168,7 @@ func (t *Txn) Commit(th *core.Thread) error {
 		if t.s.opts.Strategy == Locking {
 			t.s.tm.retire(th, t.id)
 		}
-		t.s.commits.Add(1)
+		t.s.ctr.Commits.Add(1)
 		return nil
 	}
 	if t.s.opts.Strategy == OCC && len(plan) == 1 {
@@ -180,7 +180,7 @@ func (t *Txn) Commit(th *core.Thread) error {
 			return err
 		}
 		if !v.(okReply).ok {
-			t.s.aborts.Add(1)
+			t.s.ctr.Aborts.Add(1)
 			return ErrConflict
 		}
 		return nil
@@ -201,7 +201,7 @@ func (t *Txn) Abort(th *core.Thread) error {
 		return ErrTxnDone
 	}
 	t.finished = true
-	t.s.aborts.Add(1)
+	t.s.ctr.Aborts.Add(1)
 	if t.s.opts.Strategy != Locking {
 		return nil // nothing in the store belongs to an uncommitted OCC txn
 	}

@@ -155,7 +155,7 @@ func (tm *txnMgr) serve(mgr *core.Thread) {
 			evts = append(evts, core.Wrap(rec.client.DoneEvt(), func(core.Value) core.Value {
 				return func() {
 					rec.committing = true
-					tm.store.killAborts.Add(1)
+					tm.store.ctr.KillAborts.Add(1)
 					core.SpawnYoked(mgr, fmt.Sprintf("kvtxn-abort-%d", id), func(ab *core.Thread) {
 						tm.releaseEverywhere(ab, id)
 						tm.retire(ab, id)
@@ -249,7 +249,7 @@ func (tm *txnMgr) finishLocking(fin *core.Thread, req *txnReq) {
 		}
 	}
 	if ok {
-		s.commits.Add(1)
+		s.ctr.Commits.Add(1)
 		if fn := s.opts.OnCommit; fn != nil {
 			fn(req.txn)
 		}
@@ -265,7 +265,7 @@ func (tm *txnMgr) finishLocking(fin *core.Thread, req *txnReq) {
 			}
 		}
 	} else {
-		s.aborts.Add(1)
+		s.ctr.Aborts.Add(1)
 		tm.releaseEverywhere(fin, req.txn)
 	}
 	_, _ = core.Sync(fin, core.Choice(req.out.SendEvt(okReply{ok: ok}), req.gaveUp))
@@ -296,12 +296,12 @@ func (tm *txnMgr) finishOCC(fin *core.Thread, req *txnReq) {
 		}
 	}
 	if ok {
-		s.commits.Add(1)
+		s.ctr.Commits.Add(1)
 		if fn := s.opts.OnCommit; fn != nil {
 			fn(req.txn)
 		}
 	} else {
-		s.aborts.Add(1)
+		s.ctr.Aborts.Add(1)
 	}
 	_, _ = core.Sync(fin, core.Choice(req.out.SendEvt(okReply{ok: ok}), req.gaveUp))
 }

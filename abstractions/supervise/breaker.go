@@ -147,14 +147,6 @@ func (b *Breaker) noteState(s State, tripped bool) {
 		b.trips++
 	}
 	b.mu.Unlock()
-	switch {
-	case tripped:
-		counters.trips.Add(1)
-	case s == HalfOpen:
-		counters.halfOpens.Add(1)
-	case s == Closed:
-		counters.closes.Add(1)
-	}
 }
 
 func (b *Breaker) serve(mgr *core.Thread) {

@@ -277,7 +277,6 @@ func (s *Supervisor) supervise(mon *core.Thread, spec ChildSpec) {
 		escalating := s.opts.MaxRestarts >= 0 && intensity > s.opts.MaxRestarts
 		if !escalating {
 			s.restarts++
-			counters.restarts.Add(1)
 		}
 		total := s.restarts
 		s.mu.Unlock()
@@ -312,9 +311,6 @@ func (s *Supervisor) supervise(mon *core.Thread, spec ChildSpec) {
 // primitive operation.
 func (s *Supervisor) escalate() {
 	s.mu.Lock()
-	if !s.escalated {
-		counters.escalations.Add(1)
-	}
 	s.escalated = true
 	s.mu.Unlock()
 	s.cust.Shutdown()

@@ -559,8 +559,8 @@ func BenchmarkNetsvcThroughput(b *testing.B) {
 
 // E20: sharded serving throughput — clients × shards. Each shard is an
 // independent runtime (own custodian tree, own servlet instance) behind
-// one listener, so the per-runtime global rendezvous lock is contended
-// only within a shard and throughput can scale with cores. On a
+// one listener, so runtime bookkeeping is shared only within a shard and
+// throughput can scale with cores. On a
 // single-core runner the shards time-slice one CPU and the curve stays
 // flat — see BENCH_scaling.json for readings.
 func BenchmarkNetsvcScaling(b *testing.B) {

@@ -54,8 +54,8 @@ import (
 )
 
 const (
-	quiescentKeys = 256  // key population for the GET/SET mix
-	pairSeed      = 500  // each pair key starts at 500; pair sum must stay 1000
+	quiescentKeys = 256 // key population for the GET/SET mix
+	pairSeed      = 500 // each pair key starts at 500; pair sum must stay 1000
 	clientTimeout = 10 * time.Second
 )
 
@@ -789,7 +789,7 @@ func main() {
 	}
 
 	rep := report{
-		Suite: "wire-load",
+		Suite:       "wire-load",
 		Description: "E23: wire-protocol latency under kill storms. Each leg self-hosts the sharded kill-safe server (internal/netsvc) with the transactional KV store behind the cross-runtime gateway and drives it over real TCP from plain-goroutine clients with open-loop pacing (latency measured from intended send time). Quiescent legs run a GET/SET mix over keep-alive connections per protocol (HTTP/1.1 and RESP) at each connection count; the pipelined leg batches requests into single writes; the kill-storm leg runs MULTI/EXEC pair transfers (disjoint pairs seeded 500/500, every transaction writes values summing to 1000) while a killer terminates random sessions over the wire via /chaos/kill. Storm oracles after quiescence: wedged (store audit residue) and sum_delta (pair-sum drift = half-commits) must be zero; goodput_delta_pct is the storm's goodput loss versus the matched quiescent leg.",
 		Recorded:    time.Now().Format("2006-01-02"),
 		Environment: map[string]any{

@@ -59,20 +59,20 @@ type cellRow struct {
 }
 
 type report struct {
-	Suite       string            `json:"suite"`
-	Description string            `json:"description"`
-	Recorded    string            `json:"recorded"`
-	Environment map[string]any    `json:"environment"`
-	Cells       []cellRow         `json:"cells"`
+	Suite       string         `json:"suite"`
+	Description string         `json:"description"`
+	Recorded    string         `json:"recorded"`
+	Environment map[string]any `json:"environment"`
+	Cells       []cellRow      `json:"cells"`
 }
 
 // zipfGen is the YCSB-style Zipfian key-rank generator: rank 0 is the
 // hottest key, with skew theta in [0, 1). theta == 0 is uniform.
 type zipfGen struct {
-	n                  int
-	theta              float64
-	alpha, zetan, eta  float64
-	half               float64
+	n                 int
+	theta             float64
+	alpha, zetan, eta float64
+	half              float64
 }
 
 func newZipf(n int, theta float64) *zipfGen {
@@ -152,15 +152,15 @@ func main() {
 	goruntime.GOMAXPROCS(prevProcs)
 
 	rep := report{
-		Suite: "kvtxn-contention",
+		Suite:       "kvtxn-contention",
 		Description: "E22: kill-safe transactional KV store (abstractions/kvtxn) contention sweep. One cell = a fresh store and runtime running sum-preserving transfer transactions (2 keys drawn from a Zipfian over the account space, hot range rotated every hotphase) plus read-only transactions at read_rate, while a killer terminates worker threads mid-transaction at kill_rate per second and spawns replacements. Oracles per cell after quiescence: wedged_locks (audit residue: stuck locks, parked waiters, prepare stashes, leaked registry entries) and half_commits (account sum drift) must both be zero — a kill either commits a whole transfer or none of it.",
 		Recorded:    time.Now().Format("2006-01-02"),
 		Environment: map[string]any{
-			"goos":       goruntime.GOOS,
-			"goarch":     goruntime.GOARCH,
-			"cpus":       goruntime.NumCPU(),
-			"go":         goruntime.Version(),
-			"command":    fmt.Sprintf("go run ./cmd/killtxn -dur %s -keys %d -workers %d -hotphase %s (quick=%v)", *dur, *nKeys, *nWorkers, *hotPhase, *quick),
+			"goos":    goruntime.GOOS,
+			"goarch":  goruntime.GOARCH,
+			"cpus":    goruntime.NumCPU(),
+			"go":      goruntime.Version(),
+			"command": fmt.Sprintf("go run ./cmd/killtxn -dur %s -keys %d -workers %d -hotphase %s (quick=%v)", *dur, *nKeys, *nWorkers, *hotPhase, *quick),
 		},
 		Cells: rows,
 	}

@@ -87,16 +87,16 @@ type Instrumentation interface {
 // implementations override only the taps they care about.
 type NopInstrumentation struct{}
 
-func (NopInstrumentation) Spawned(*Thread)                  {}
-func (NopInstrumentation) Runnable(*Thread)                 {}
-func (NopInstrumentation) Blocked(*Thread)                  {}
-func (NopInstrumentation) Done(*Thread)                     {}
-func (NopInstrumentation) Pause(*Thread)                    {}
-func (NopInstrumentation) Lifecycle(TraceKind, *Thread)     {}
-func (NopInstrumentation) SyncCommit(*Thread, int, int)     {}
-func (NopInstrumentation) CustodianShutdown(int64, int)     {}
-func (NopInstrumentation) AlarmFire(*Thread)                {}
-func (NopInstrumentation) Deterministic() bool              { return false }
+func (NopInstrumentation) Spawned(*Thread)              {}
+func (NopInstrumentation) Runnable(*Thread)             {}
+func (NopInstrumentation) Blocked(*Thread)              {}
+func (NopInstrumentation) Done(*Thread)                 {}
+func (NopInstrumentation) Pause(*Thread)                {}
+func (NopInstrumentation) Lifecycle(TraceKind, *Thread) {}
+func (NopInstrumentation) SyncCommit(*Thread, int, int) {}
+func (NopInstrumentation) CustodianShutdown(int64, int) {}
+func (NopInstrumentation) AlarmFire(*Thread)            {}
+func (NopInstrumentation) Deterministic() bool          { return false }
 
 // teeInstrumentation fans every tap out to two instrumentations, a is
 // called first. Deterministic if either is (the usual composition is a

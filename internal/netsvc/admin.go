@@ -9,17 +9,19 @@ import (
 	"repro/internal/obs"
 )
 
-// Admin surface: the /debug/killsafe/* routes served by every session
-// thread (see serveConn's dispatch) and reusable by an out-of-band HTTP
-// mux (cmd/killserve's -admin listener). All renderers read atomic
+// Admin surface: /debug/stats and the /debug/killsafe/* routes, served
+// by every session thread (see serveConn's dispatch) and reusable by an
+// out-of-band HTTP mux (cmd/killserve's -admin listener). All renderers read atomic
 // counters or take per-runtime snapshots; none of them is a hot path.
 
-// adminShardStats is one shard's slice of the stats document.
+// adminShardStats is one engine's books: one shard's slice of the stats
+// document, and the unit the fleet totals fold.
 type adminShardStats struct {
 	Shard   int           `json:"shard"`
 	Serving StatsSnapshot `json:"serving"`
 	Runtime *obs.Snapshot `json:"runtime,omitempty"` // nil under DisableObs
 	Live    int           `json:"live_threads"`      // runtime accounting, not counters
+	sv      *Server       // the engine, for renderers that need more than counters
 }
 
 // adminStats is the /debug/killsafe/stats document: fleet totals plus
@@ -31,64 +33,58 @@ type adminStats struct {
 	PerShard []adminShardStats `json:"per_shard"`
 }
 
-// adminServers returns the servers the admin document covers: every
-// live shard engine of the fleet, or just this server when unsharded.
-// Engines retired by DrainShard are excluded — their counters live in
-// the fleet's retired fold, which AdminStatsJSON adds separately.
-func (s *Server) adminServers() []*Server {
-	if s.sharded == nil {
-		return []*Server{s}
-	}
-	out := make([]*Server, 0, s.sharded.NumShards())
-	for _, sh := range s.sharded.shards {
-		if sh.retired.Load() {
-			continue
+// add folds one engine's books into the document's totals.
+func (d *adminStats) add(e adminShardStats) {
+	d.Serving = obs.Fold(d.Serving, e.Serving)
+	if e.Runtime != nil {
+		var agg obs.Snapshot
+		if d.Runtime != nil {
+			agg = *d.Runtime
 		}
-		out = append(out, sh.server())
+		agg = obs.Fold(agg, *e.Runtime)
+		d.Runtime = &agg
 	}
-	return out
+}
+
+// books reads this engine's own counters.
+func (s *Server) books() adminShardStats {
+	e := adminShardStats{Shard: s.shard, Serving: s.Stats(), Live: s.rt.LiveThreads(), sv: s}
+	if s.obs != nil {
+		snap := s.obs.Snapshot()
+		e.Runtime = &snap
+	}
+	return e
+}
+
+// fleetStats reads the books of the fleet s belongs to, and is the one
+// place that decides which engines count toward fleet totals: every live
+// engine, plus the fold of the engines drains retired. A standalone
+// server is a one-engine fleet. Shards are walked under m.mu, the lock
+// DrainShard retires and folds an engine under, so each engine counts
+// exactly once — live or folded, never both and never neither.
+func (s *Server) fleetStats() adminStats {
+	engines, doc := []*Server{s}, adminStats{Shards: 1}
+	if m := s.sharded; m != nil {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		engines, doc = nil, m.retired
+		doc.Shards = len(m.shards)
+		for _, sh := range m.shards {
+			if !sh.retired.Load() {
+				engines = append(engines, sh.server())
+			}
+		}
+	}
+	for _, sv := range engines {
+		e := sv.books()
+		doc.add(e)
+		doc.PerShard = append(doc.PerShard, e)
+	}
+	return doc
 }
 
 // AdminStatsJSON renders the /debug/killsafe/stats document.
-func (s *Server) AdminStatsJSON() string {
-	servers := s.adminServers()
-	doc := adminStats{Shards: len(servers)}
-	var agg obs.Snapshot
-	haveObs := false
-	for _, sv := range servers {
-		entry := adminShardStats{
-			Shard:   sv.shard,
-			Serving: sv.Stats(),
-			Live:    sv.rt.LiveThreads(),
-		}
-		doc.Serving = addStats(doc.Serving, entry.Serving)
-		if sv.obs != nil {
-			snap := sv.obs.Snapshot()
-			entry.Runtime = &snap
-			agg = agg.Add(snap)
-			haveObs = true
-		}
-		doc.PerShard = append(doc.PerShard, entry)
-	}
-	// Fold in the engines retired by live drains: the fleet totals must
-	// never lose served work to a handoff, and ShardsDrained is a
-	// fleet-level fact no live engine carries.
-	if m := s.sharded; m != nil {
-		doc.Shards = m.NumShards()
-		m.mu.Lock()
-		doc.Serving = addStats(doc.Serving, m.retired)
-		doc.Serving.ShardsDrained = m.drains
-		retiredObs := m.retiredObs
-		m.mu.Unlock()
-		if haveObs {
-			agg = retiredObs.Add(agg)
-		}
-	}
-	if haveObs {
-		doc.Runtime = &agg
-	}
-	return marshalAdmin(doc)
-}
+func (s *Server) AdminStatsJSON() string { return marshalAdmin(s.fleetStats()) }
 
 // adminCustodians is the /debug/killsafe/custodians document: the live
 // custodian tree of each runtime, straight from runtime accounting.
@@ -99,10 +95,9 @@ type adminCustodians struct {
 
 // AdminCustodiansJSON renders the /debug/killsafe/custodians document.
 func (s *Server) AdminCustodiansJSON() string {
-	servers := s.adminServers()
-	out := make([]adminCustodians, 0, len(servers))
-	for _, sv := range servers {
-		out = append(out, adminCustodians{Shard: sv.shard, Custodians: sv.rt.CustodianSnapshot()})
+	out := []adminCustodians{}
+	for _, e := range s.fleetStats().PerShard {
+		out = append(out, adminCustodians{Shard: e.Shard, Custodians: e.sv.rt.CustodianSnapshot()})
 	}
 	return marshalAdmin(out)
 }
@@ -134,10 +129,14 @@ func (s *Server) AdminTraceText(shard int) (string, bool) {
 	return rec.TraceText(fmt.Sprintf("netsvc-shard-%d", sv.shard), 0), true
 }
 
-// adminDispatch answers the /debug/killsafe/* routes; ok=false means
-// the path is not an admin route.
+// adminDispatch answers /debug/stats (the serving section of the stats
+// document) and the /debug/killsafe/* routes; ok=false means the path is
+// not an admin route.
 func (s *Server) adminDispatch(path string, query map[string]string) (status int, body string, ok bool) {
 	switch path {
+	case "/debug/stats":
+		body, _ := json.Marshal(s.fleetStats().Serving) // flat ints, bools and a string: cannot fail
+		return 200, string(body) + "\n", true
 	case "/debug/killsafe/stats":
 		return 200, s.AdminStatsJSON() + "\n", true
 	case "/debug/killsafe/custodians":
@@ -158,41 +157,6 @@ func (s *Server) adminDispatch(path string, query map[string]string) (status int
 	return 0, "", false
 }
 
-// addStats folds two serving snapshots: counters sum, the pipelined-depth
-// high-water mark is a fleet maximum, and the protocol name carries over
-// (every shard of a fleet speaks the same protocol).
-func addStats(a, b StatsSnapshot) StatsSnapshot {
-	if a.Protocol == "" {
-		a.Protocol = b.Protocol
-	}
-	a.Accepted += b.Accepted
-	a.Active += b.Active
-	a.Drained += b.Drained
-	a.Killed += b.Killed
-	a.TimedOut += b.TimedOut
-	a.Rejected += b.Rejected
-	a.Shed += b.Shed
-	a.AdmShed += b.AdmShed
-	a.AdmShedBulk += b.AdmShedBulk
-	a.Migrated += b.Migrated
-	a.ReqAdmin += b.ReqAdmin
-	a.ReqNormal += b.ReqNormal
-	a.ReqBulk += b.ReqBulk
-	a.Deadlined += b.Deadlined
-	a.Restarts += b.Restarts
-	a.Requests += b.Requests
-	a.Responses += b.Responses
-	a.ShardsDrained += b.ShardsDrained
-	if b.PipelineHWM > a.PipelineHWM {
-		a.PipelineHWM = b.PipelineHWM
-	}
-	if b.SojournEWMAus > a.SojournEWMAus {
-		a.SojournEWMAus = b.SojournEWMAus
-	}
-	a.Overloaded = a.Overloaded || b.Overloaded
-	return a
-}
-
 func marshalAdmin(v any) string {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -205,9 +169,9 @@ func marshalAdmin(v any) string {
 // belongs to as expvar variables "name.shardN" (for /debug/vars on a
 // plain HTTP mux). With obs disabled it is a no-op.
 func (s *Server) PublishExpvar(name string) {
-	for _, sv := range s.adminServers() {
-		if sv.obs != nil {
-			obs.PublishExpvar(fmt.Sprintf("%s.shard%d", name, sv.shard), sv.obs)
+	for _, e := range s.fleetStats().PerShard {
+		if o := e.sv.obs; o != nil {
+			obs.PublishExpvarFunc(fmt.Sprintf("%s.shard%d", name, e.Shard), func() any { return o.Snapshot() })
 		}
 	}
 }
@@ -226,16 +190,8 @@ func (m *ShardedServer) Obs(i int) *obs.Obs { return m.shards[i].server().obs }
 // metrics (the zero snapshot under DisableObs), including the folded
 // totals of engines retired by drains.
 func (m *ShardedServer) ObsSnapshot() obs.Snapshot {
-	m.mu.Lock()
-	agg := m.retiredObs
-	m.mu.Unlock()
-	for _, sh := range m.shards {
-		if sh.retired.Load() {
-			continue
-		}
-		if o := sh.server().obs; o != nil {
-			agg = agg.Add(o.Snapshot())
-		}
+	if agg := m.Shard(0).fleetStats().Runtime; agg != nil {
+		return *agg
 	}
-	return agg
+	return obs.Snapshot{}
 }

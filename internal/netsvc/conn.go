@@ -339,7 +339,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 			if f == nil {
 				break
 			}
-			s.stats.requests.Add(1)
+			s.stats.Requests.Add(1)
 			closing := f.Close || s.drain.Completed()
 			shed := false
 			switch {
@@ -364,7 +364,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 				}
 				resp, timedOut := s.dispatch(th, cs, f.Req)
 				if timedOut {
-					s.stats.deadlined.Add(1)
+					s.stats.Deadlined.Add(1)
 					batch = codec.AppendFault(batch, 503, "request deadline exceeded\n")
 					_ = writer.flushFinal(th, batch)
 					batch = nil
@@ -375,7 +375,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 			}
 			served = true
 			if !shed {
-				s.stats.responses.Add(1)
+				s.stats.Responses.Add(1)
 			}
 			batched++
 			s.stats.notePipelineDepth(int64(batched))
@@ -420,7 +420,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 		switch x := v.(type) {
 		case string:
 			if x == "timeout" {
-				s.stats.timedOut.Add(1)
+				s.stats.TimedOut.Add(1)
 				batch = codec.AppendFault(batch, 408, "request timeout\n")
 			} else { // drain
 				// A request that raced the drain signal may already be
@@ -469,9 +469,9 @@ func (s *Server) shedRequest(req *web.Request, arrivedAt time.Time) bool {
 	if s.adm.admit(now, now.Sub(arrivedAt), class) {
 		return false
 	}
-	s.stats.admShed.Add(1)
+	s.stats.AdmShed.Add(1)
 	if class == ClassBulk {
-		s.stats.admShedBulk.Add(1)
+		s.stats.AdmShedBulk.Add(1)
 	}
 	return true
 }
@@ -484,13 +484,6 @@ func (s *Server) shedRequest(req *web.Request, arrivedAt time.Time) bool {
 func (s *Server) dispatch(th *core.Thread, cs *connState, req *web.Request) (web.Response, bool) {
 	if status, body, ok := s.adminDispatch(req.Path, req.Query); ok {
 		return web.Response{Status: status, Body: body}, false
-	}
-	if req.Path == "/debug/stats" {
-		snap := s.Stats()
-		if s.aggStats != nil {
-			snap = s.aggStats()
-		}
-		return web.Response{Status: 200, Body: snap.json() + "\n"}, false
 	}
 	if s.cfg.RequestTimeout > 0 {
 		return s.dispatchBounded(th, cs, req)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -317,5 +318,64 @@ func TestDrainShardShutdownRace(t *testing.T) {
 			t.Fatalf("round %d: DrainShard after race = %v, want ErrServerDown", round, err)
 		}
 		waitGoroutines(t, base, "after drain/shutdown race")
+	}
+}
+
+// Fleet totals never go backwards across a drain. A slow request on
+// the drained shard holds its graceful stop open for the whole grace
+// window; throughout, the old engine must count either as live or as
+// folded into the retired totals — never as neither.
+func TestFleetStatsMonotonicAcrossDrain(t *testing.T) {
+	m, err := netsvc.ServeSharded(netsvc.Config{Shards: 2}, shardSetup)
+	if err != nil {
+		t.Fatalf("ServeSharded: %v", err)
+	}
+	defer m.Shutdown(0)
+	addr := m.Addr().String()
+	for i := 0; i < 8; i++ {
+		if _, _, err := get(addr, "/ping"); err != nil {
+			t.Fatalf("get: %v", err)
+		}
+	}
+	// One slow session per shard: the assigner balances them.
+	for i := 0; i < 2; i++ {
+		c := dialSlow(t, addr)
+		defer c.Close()
+	}
+	waitShardActive(t, m, 1)
+
+	const grace = 300 * time.Millisecond
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- m.DrainShard(0, grace) }()
+	prev := m.Stats()
+	for polling := true; polling; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("DrainShard: %v", err)
+			}
+			polling = false
+		default:
+		}
+		cur := m.Stats()
+		pv, cv := reflect.ValueOf(prev), reflect.ValueOf(cur)
+		for i := 0; i < pv.NumField(); i++ {
+			name := pv.Type().Field(i).Name
+			if pv.Field(i).Kind() != reflect.Int64 || name == "Active" || name == "SojournEWMAus" {
+				continue // gauges may fall
+			}
+			if cv.Field(i).Int() < pv.Field(i).Int() {
+				t.Fatalf("fleet %s went backwards during the drain: %d -> %d", name, pv.Field(i).Int(), cv.Field(i).Int())
+			}
+		}
+		prev = cur
+		time.Sleep(200 * time.Microsecond)
+	}
+	if took := time.Since(start); took < grace {
+		t.Fatalf("drain took %v, shorter than its %v grace: the slow session did not hold it open", took, grace)
+	}
+	if prev.ShardsDrained != 1 {
+		t.Fatalf("ShardsDrained = %d, want 1", prev.ShardsDrained)
 	}
 }

@@ -169,9 +169,6 @@ type Server struct {
 	ln    net.Listener    // nil for a shard (the ShardedServer owns the listener)
 	shard int             // shard index, 0 for a standalone server
 
-	// aggStats, when set (sharded operation), supplies the fleet-wide
-	// snapshot served by /debug/stats in place of this shard's own.
-	aggStats func() StatsSnapshot
 	// sharded, when set, is the fleet this server is one shard of; the
 	// admin surface uses it to aggregate across shards.
 	sharded *ShardedServer
@@ -181,7 +178,7 @@ type Server struct {
 	newCodec  wire.Factory // mints the per-connection protocol codec
 	protoName string       // codec name, for the stats surface
 
-	adm      *admission               // adaptive admission; nil unless Config.AdmitTarget > 0
+	adm      *admission // adaptive admission; nil unless Config.AdmitTarget > 0
 	classify func(*web.Request) Priority
 
 	stats    *Stats
@@ -190,11 +187,11 @@ type Server struct {
 	pending  *core.Semaphore // counts conns handed off in connCh
 	pendingN atomic.Int64    // accepted-but-unserved conns, for load shedding
 	connCh   chan pendingConn
-	quit     chan struct{}  // closed by custodian shutdown; unblocks the pump's handoff
-	drain    *core.External // completed when Shutdown begins
-	migrate  *core.External // completed by DrainShard: the acceptor rehomes instead of serving
+	quit     chan struct{}       // closed by custodian shutdown; unblocks the pump's handoff
+	drain    *core.External      // completed when Shutdown begins
+	migrate  *core.External      // completed by DrainShard: the acceptor rehomes instead of serving
 	rehome   func(net.Conn) bool // sharded: move a queued conn to a healthy sibling shard
-	pumpRet  *core.External // completed when the accept pump exits
+	pumpRet  *core.External      // completed when the accept pump exits
 
 	mu      sync.Mutex
 	conns   map[int64]*connState
@@ -229,9 +226,9 @@ func (f closerFunc) Close() error { return f() }
 // Serve opens a TCP listener and starts serving ws's routes through the
 // runtime. The server's custodian is a child of th's current custodian.
 //
-// Serve runs everything on th's runtime: one VM, one global rendezvous
-// lock, so throughput does not scale with client concurrency. For a
-// server that should scale across cores, use ServeSharded, which spins up
+// Serve runs everything on th's runtime: one VM whose custodian tree,
+// supervisor and servlet instance every session shares. For a server
+// that should scale across cores, use ServeSharded, which spins up
 // Config.Shards independent runtimes. Serve rejects Config.Shards > 1:
 // the caller's single *web.Server is bound to the caller's runtime and
 // cannot be instantiated once per shard.
@@ -323,7 +320,7 @@ func serveOn(th *core.Thread, ws *web.Server, cfg Config, ln net.Listener) (*Ser
 			Window:      time.Minute,
 			BaseBackoff: 5 * time.Millisecond,
 			MaxBackoff:  250 * time.Millisecond,
-			OnRestart:   func(string, int) { s.stats.restarts.Add(1) },
+			OnRestart:   func(string, int) { s.stats.Restarts.Add(1) },
 		})
 	})
 	s.sup.Start(th, supervise.ChildSpec{
@@ -360,7 +357,7 @@ func (s *Server) Custodian() *core.Custodian { return s.cust }
 
 // Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() StatsSnapshot {
-	snap := s.stats.snapshot()
+	snap := obs.Load[StatsSnapshot](s.stats)
 	snap.Protocol = s.protoName
 	if s.adm != nil {
 		snap.SojournEWMAus = s.adm.sojournEWMA().Microseconds()
@@ -382,7 +379,7 @@ func (s *Server) acceptPump() {
 		if err != nil {
 			return // listener closed (drain or custodian shutdown)
 		}
-		s.stats.accepted.Add(1)
+		s.stats.Accepted.Add(1)
 		s.submit(c)
 	}
 }
@@ -396,7 +393,7 @@ func (s *Server) acceptPump() {
 func (s *Server) submit(c net.Conn) {
 	if s.cust.Register(c) != nil {
 		// Server custodian already dead: Register closed the conn.
-		s.stats.rejected.Add(1)
+		s.stats.Rejected.Add(1)
 		return
 	}
 	// Load shedding: past MaxPending accepted-but-unserved conns the
@@ -413,14 +410,14 @@ func (s *Server) submit(c net.Conn) {
 	case <-s.quit:
 		s.pendingN.Add(-1)
 		_ = c.Close()
-		s.stats.rejected.Add(1)
+		s.stats.Rejected.Add(1)
 	}
 }
 
 // load is the shard-assignment metric: connections currently being served
 // plus those accepted but not yet claimed. Readable from any goroutine.
 func (s *Server) load() int64 {
-	return s.stats.active.Load() + s.pendingN.Load()
+	return s.stats.Active.Load() + s.pendingN.Load()
 }
 
 // pendingLoadWeight over-weights accepted-but-unclaimed connections in the
@@ -435,7 +432,7 @@ const pendingLoadWeight = 4
 // assignScore is the load figure the sharded assigner compares: conns
 // being served plus pending-queue depth, the latter re-weighted.
 func (s *Server) assignScore() int64 {
-	return s.stats.active.Load() + pendingLoadWeight*s.pendingN.Load()
+	return s.stats.Active.Load() + pendingLoadWeight*s.pendingN.Load()
 }
 
 // shedConn answers an over-capacity connection straight from the pump
@@ -445,7 +442,7 @@ func (s *Server) assignScore() int64 {
 func (s *Server) shedConn(c net.Conn) {
 	// Count the decision before the refusal is written: a client that has
 	// read the 503 must already observe it in Stats.
-	s.stats.shed.Add(1)
+	s.stats.Shed.Add(1)
 	msg := s.newCodec().AppendFault(nil, 503, "server busy\n")
 	_ = c.SetWriteDeadline(time.Now().Add(time.Second))
 	_, _ = c.Write(msg)
@@ -515,7 +512,7 @@ func (s *Server) acceptLoop(th *core.Thread) {
 		if v == "drain" {
 			s.pendingN.Add(-1)
 			_ = pc.c.Close()
-			s.stats.rejected.Add(1)
+			s.stats.Rejected.Add(1)
 			return
 		}
 		s.startConn(th, pc)
@@ -531,12 +528,12 @@ func (s *Server) rehomeConn(c net.Conn) {
 	s.pendingN.Add(-1)
 	if s.rehome != nil && s.rehome(c) {
 		s.cust.Unregister(c)
-		s.stats.migrated.Add(1)
+		s.stats.Migrated.Add(1)
 		return
 	}
 	s.cust.Unregister(c)
 	_ = c.Close()
-	s.stats.rejected.Add(1)
+	s.stats.Rejected.Add(1)
 }
 
 // startConn places the conn under a fresh per-connection custodian,
@@ -550,7 +547,7 @@ func (s *Server) startConn(th *core.Thread, pc pendingConn) {
 	if ccust.Register(c) != nil {
 		s.cust.Unregister(c)
 		_ = c.Close()
-		s.stats.rejected.Add(1)
+		s.stats.Rejected.Add(1)
 		s.slots.Post()
 		return
 	}
@@ -577,7 +574,7 @@ func (s *Server) startConn(th *core.Thread, pc pendingConn) {
 	s.conns[cs.id] = cs
 	s.threads[cs.th] = struct{}{}
 	s.mu.Unlock()
-	s.stats.active.Add(1)
+	s.stats.Active.Add(1)
 
 	var mon *core.Thread
 	th.WithCustodian(s.cust, func() {
@@ -608,11 +605,11 @@ func (s *Server) monitorConn(th *core.Thread, cs *connState) {
 	delete(s.threads, cs.th)
 	completed := cs.completed
 	s.mu.Unlock()
-	s.stats.active.Add(-1)
+	s.stats.Active.Add(-1)
 	if completed {
-		s.stats.drained.Add(1)
+		s.stats.Drained.Add(1)
 	} else {
-		s.stats.killed.Add(1)
+		s.stats.Killed.Add(1)
 	}
 	s.slots.Post()
 	// The session thread is condemned (its only custodian is dead); reap

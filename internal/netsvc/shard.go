@@ -9,16 +9,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/web"
 )
 
 // ShardedServer is a share-nothing-per-core serving fleet: one listener,
 // Config.Shards independent runtimes behind it. Each shard is a whole
 // paper-faithful VM — its own core.Runtime, custodian tree, supervisor,
-// and servlet instance — so the per-runtime global rendezvous lock is
-// contended only by the sessions of one shard, and throughput scales
-// with shards (given cores to run them on).
+// and servlet instance — so runtime bookkeeping is shared only by the
+// sessions of one shard, and throughput can scale with shards (given
+// cores to run them on).
 //
 // The isolation boundary is strict: channels, semaphores, externals, and
 // custodians belong to one runtime and must never be shared across
@@ -47,11 +46,9 @@ type ShardedServer struct {
 	// before walking the shard list.
 	opMu sync.Mutex
 
-	mu         sync.Mutex
-	down       bool
-	drains     int64         // completed drain/handoff cycles
-	retired    StatsSnapshot // folded counters of retired shard engines
-	retiredObs obs.Snapshot  // folded runtime metrics of retired engines
+	mu      sync.Mutex
+	down    bool
+	retired adminStats // folded books of engines retired by drains; ShardsDrained counts the drains
 }
 
 // shard is one slot in the fleet: a runtime plus its serving engine,
@@ -59,7 +56,7 @@ type ShardedServer struct {
 type shard struct {
 	idx      int
 	draining atomic.Bool // drain in progress: the assigner routes around it
-	retired  atomic.Bool // engine reaped with no replacement; skip everywhere
+	retired  atomic.Bool // engine folded into m.retired (written under m.mu); skip everywhere
 
 	// srvP is the current serving engine, read lock-free on the accept
 	// hot path and swapped by startShard.
@@ -145,7 +142,6 @@ func (m *ShardedServer) startShard(sh *shard) error {
 				return
 			}
 			srv.shard = sh.idx
-			srv.aggStats = m.Stats
 			srv.sharded = m
 			srv.rehome = func(c net.Conn) bool { return m.rehome(c, sh.idx) }
 			m.mu.Lock()
@@ -180,7 +176,7 @@ func (m *ShardedServer) acceptPump() {
 			return // listener closed (Shutdown)
 		}
 		srv := m.pick().server()
-		srv.stats.accepted.Add(1)
+		srv.stats.Accepted.Add(1)
 		srv.submit(c)
 	}
 }
@@ -275,31 +271,15 @@ func (m *ShardedServer) Runtime(i int) *core.Runtime {
 
 // Stats returns the fleet-wide aggregate of the per-shard counters,
 // including the folded totals of every engine retired by a drain — a
-// completed handoff never makes served work disappear from the books.
-func (m *ShardedServer) Stats() StatsSnapshot {
-	m.mu.Lock()
-	agg := m.retired
-	drains := m.drains
-	m.mu.Unlock()
-	for _, sh := range m.shards {
-		if sh.retired.Load() {
-			continue
-		}
-		agg = addStats(agg, sh.server().Stats())
-	}
-	agg.ShardsDrained = drains
-	return agg
-}
+// handoff never makes served work disappear from the books.
+func (m *ShardedServer) Stats() StatsSnapshot { return m.Shard(0).fleetStats().Serving }
 
 // ShardStats returns each live shard engine's own snapshot, indexed by
 // shard (retired engines' counters live in the fleet aggregate).
 func (m *ShardedServer) ShardStats() []StatsSnapshot {
 	out := make([]StatsSnapshot, len(m.shards))
-	for i, sh := range m.shards {
-		if sh.retired.Load() {
-			continue
-		}
-		out[i] = sh.server().Stats()
+	for _, e := range m.Shard(0).fleetStats().PerShard {
+		out[e.Shard] = e.Serving
 	}
 	return out
 }
@@ -368,9 +348,7 @@ func (m *ShardedServer) DrainShard(i int, grace time.Duration) error {
 	}
 	// Order the graceful shutdown through the shard's main thread — the
 	// same custodian-tree path a fleet Shutdown uses — and reap the old
-	// runtime. The shard is marked retired first so fleet-wide Stats
-	// readers never see the engine both live and folded.
-	sh.retired.Store(true)
+	// runtime. Until the engine is folded it still counts as live.
 	sh.stop.Complete(grace)
 	var errs []error
 	if err := <-sh.runDone; err != nil {
@@ -378,20 +356,14 @@ func (m *ShardedServer) DrainShard(i int, grace time.Duration) error {
 	} else if sh.sdErr != nil {
 		errs = append(errs, fmt.Errorf("shard %d: %w", i, sh.sdErr))
 	}
-	oldStats := old.Stats()
-	var oldObs *obs.Snapshot
-	if old.obs != nil {
-		snap := old.obs.Snapshot()
-		oldObs = &snap
-	}
-	sh.rt.Shutdown()
+	// Retire and fold in one step under m.mu, the lock fleetStats walks
+	// the shards under, so fleet totals never drop the engine's work.
 	m.mu.Lock()
-	m.retired = addStats(m.retired, oldStats)
-	if oldObs != nil {
-		m.retiredObs = m.retiredObs.Add(*oldObs)
-	}
-	m.drains++
+	sh.retired.Store(true)
+	m.retired.add(old.books())
+	m.retired.Serving.ShardsDrained++
 	m.mu.Unlock()
+	sh.rt.Shutdown()
 	if m.isDown() {
 		// The fleet died while the old engine drained: no replacement.
 		// The shard stays retired; teardown skips it.

@@ -53,7 +53,7 @@ func TestHotShardShedsAssignment(t *testing.T) {
 	// connections (5 active vs 0), but shard 0's queue depth of 6 scores
 	// 6*pendingLoadWeight = 24 against shard 1's 5 — the backed-up
 	// acceptor loses even to the busier-looking sibling.
-	s1.stats.active.Add(5)
+	s1.stats.Active.Add(5)
 	if s0.assignScore() <= s1.assignScore() {
 		t.Fatalf("scores not re-weighted: s0=%d s1=%d", s0.assignScore(), s1.assignScore())
 	}
@@ -65,7 +65,7 @@ func TestHotShardShedsAssignment(t *testing.T) {
 
 	// Queue drained: assignment balances again.
 	s0.pendingN.Add(-6)
-	s1.stats.active.Add(-5)
+	s1.stats.Active.Add(-5)
 	seen = map[*shard]int{}
 	for i := 0; i < 10; i++ {
 		seen[m.pick()]++

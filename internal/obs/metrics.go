@@ -8,9 +8,9 @@ import "sync/atomic"
 // cost of leaving metrics enabled on a serving runtime is a handful of
 // uncontended atomic ops per scheduler event.
 //
-// Counters are monotonic; gauges (live threads) are derived in Snapshot
-// from counter differences so the hot path never needs a decrement-
-// paired-with-increment invariant.
+// Counters are monotonic; gauges (live threads) are derived in
+// Obs.Snapshot from counter differences so the hot path never needs a
+// decrement-paired-with-increment invariant.
 type Metrics struct {
 	// Thread lifecycle.
 	Spawns    atomic.Int64 // threads created
@@ -39,7 +39,7 @@ type Metrics struct {
 }
 
 // Snapshot is a point-in-time copy of the counters plus derived gauges,
-// JSON-ready for the admin surface.
+// JSON-ready for the admin surface. Every field sums under Fold.
 type Snapshot struct {
 	Spawns    int64 `json:"spawns"`
 	Dones     int64 `json:"dones"`
@@ -63,62 +63,4 @@ type Snapshot struct {
 	AlarmFires         int64 `json:"alarm_fires"`
 	CustodianShutdowns int64 `json:"custodian_shutdowns"`
 	CustodianSwept     int64 `json:"custodian_swept_threads"`
-}
-
-// Snapshot copies the counters. Counters are read individually, so a
-// snapshot taken under load is per-counter consistent, not globally
-// consistent; after quiescence it is exact.
-func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		Spawns:    m.Spawns.Load(),
-		Dones:     m.Dones.Load(),
-		Kills:     m.Kills.Load(),
-		Suspends:  m.Suspends.Load(),
-		Resumes:   m.Resumes.Load(),
-		Condemned: m.Condemned.Load(),
-		Yokes:     m.Yokes.Load(),
-		Breaks:    m.Breaks.Load(),
-
-		CommitWakes: m.CommitWakes.Load(),
-		Blocks:      m.Blocks.Load(),
-		Pauses:      m.Pauses.Load(),
-
-		Syncs:     m.Syncs.Load(),
-		SyncFast:  m.SyncFast.Load(),
-		SyncMulti: m.SyncMulti.Load(),
-
-		AlarmFires:         m.AlarmFires.Load(),
-		CustodianShutdowns: m.CustodianShutdowns.Load(),
-		CustodianSwept:     m.CustodianSwept.Load(),
-	}
-	s.LiveThreads = s.Spawns - s.Dones
-	if s.Exits = s.Dones - s.Kills; s.Exits < 0 {
-		s.Exits = 0
-	}
-	return s
-}
-
-// Add returns the field-wise sum of two snapshots; the sharded server
-// uses it to aggregate per-runtime metrics into fleet totals.
-func (s Snapshot) Add(t Snapshot) Snapshot {
-	s.Spawns += t.Spawns
-	s.Dones += t.Dones
-	s.Kills += t.Kills
-	s.Exits += t.Exits
-	s.Suspends += t.Suspends
-	s.Resumes += t.Resumes
-	s.Condemned += t.Condemned
-	s.Yokes += t.Yokes
-	s.Breaks += t.Breaks
-	s.LiveThreads += t.LiveThreads
-	s.CommitWakes += t.CommitWakes
-	s.Blocks += t.Blocks
-	s.Pauses += t.Pauses
-	s.Syncs += t.Syncs
-	s.SyncFast += t.SyncFast
-	s.SyncMulti += t.SyncMulti
-	s.AlarmFires += t.AlarmFires
-	s.CustodianShutdowns += t.CustodianShutdowns
-	s.CustodianSwept += t.CustodianSwept
-	return s
 }

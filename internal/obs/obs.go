@@ -63,11 +63,17 @@ func (o *Obs) EnableRecorder(n int) *Recorder {
 // Recorder returns the flight recorder, or nil if not enabled.
 func (o *Obs) Recorder() *Recorder { return o.rec.Load() }
 
-// Metrics returns the live counter block.
-func (o *Obs) Metrics() *Metrics { return &o.m }
-
-// Snapshot copies the current counters.
-func (o *Obs) Snapshot() Snapshot { return o.m.Snapshot() }
+// Snapshot copies the current counters. Counters are read individually,
+// so a snapshot taken under load is per-counter consistent, not globally
+// consistent; after quiescence it is exact.
+func (o *Obs) Snapshot() Snapshot {
+	s := Load[Snapshot](&o.m)
+	s.LiveThreads = s.Spawns - s.Dones
+	if s.Exits = s.Dones - s.Kills; s.Exits < 0 {
+		s.Exits = 0
+	}
+	return s
+}
 
 // Instrumentation tap implementations. Each is a counter add plus, when
 // the recorder is on, one wait-free ring write.
@@ -170,49 +176,25 @@ func (o *Obs) Deterministic() bool { return false }
 var _ core.Instrumentation = (*Obs)(nil)
 
 // expvar publication. expvar.Publish panics on duplicate names, and the
-// Obs behind a name changes when a server restarts, so the registry maps
-// each published name to a swappable pointer fetched at render time.
+// object behind a name changes when a server restarts or drains, so the
+// registry maps each published name to a swappable source fetched at
+// render time.
 
 var (
-	expvarMu      sync.Mutex
-	expvarMap     = map[string]*atomic.Pointer[Obs]{}
-	expvarFuncMap = map[string]*atomic.Pointer[func() any]{}
+	expvarMu  sync.Mutex
+	expvarMap = map[string]*atomic.Pointer[func() any]{}
 )
 
-// PublishExpvar exposes o's metrics snapshot as the expvar variable
-// name (rendered as JSON by /debug/vars). Publishing a second Obs under
-// the same name re-points the variable rather than panicking.
-func PublishExpvar(name string, o *Obs) {
+// PublishExpvarFunc exposes fn's return value as the expvar variable
+// name (rendered as JSON by /debug/vars). Publishing a second function
+// under the same name swaps the source rather than panicking.
+func PublishExpvarFunc(name string, fn func() any) {
 	expvarMu.Lock()
 	defer expvarMu.Unlock()
 	p, ok := expvarMap[name]
 	if !ok {
-		p = &atomic.Pointer[Obs]{}
-		expvarMap[name] = p
-		src := p
-		expvar.Publish(name, expvar.Func(func() any {
-			if o := src.Load(); o != nil {
-				return o.Snapshot()
-			}
-			return nil
-		}))
-	}
-	p.Store(o)
-}
-
-// PublishExpvarFunc exposes fn's return value as the expvar variable
-// name, with the same re-point-on-republish semantics as PublishExpvar:
-// publishing a second function under the same name swaps the source
-// rather than panicking. Useful for documents assembled outside a single
-// Obs — a sharded fleet's aggregate serving stats, say — where the
-// underlying object is replaced across restarts and drains.
-func PublishExpvarFunc(name string, fn func() any) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	p, ok := expvarFuncMap[name]
-	if !ok {
 		p = &atomic.Pointer[func() any]{}
-		expvarFuncMap[name] = p
+		expvarMap[name] = p
 		src := p
 		expvar.Publish(name, expvar.Func(func() any {
 			if f := src.Load(); f != nil {
